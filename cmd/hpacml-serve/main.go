@@ -232,7 +232,7 @@ func main() {
 		os.Exit(2)
 	}
 	build := telemetry.Build()
-	log.Info("hpacml-serve starting", "version", build.Version, "revision", build.Revision, "go", build.GoVersion)
+	log.Info("hpacml-serve starting", "version", build.Version, "revision", build.Revision, "go", build.GoVersion, "kernel", build.Kernel)
 	for i := range captures {
 		captures[i].ShardRecords = *captureShard
 	}

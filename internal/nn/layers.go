@@ -88,43 +88,7 @@ func (d *Dense) forwardInto(dst, x *tensor.Tensor) error {
 	if dst.Rank() != 2 || dst.Dim(0) != b || dst.Dim(1) != d.Out || !dst.IsContiguous() {
 		return fmt.Errorf("dense dst wants contiguous [%d, %d], got %v", b, d.Out, dst.Shape())
 	}
-	x = x.Contiguous()
-	xd, wd, bd, od := x.Data(), d.Weight.W.Data(), d.Bias.W.Data(), dst.Data()
-	in, outW := d.In, d.Out
-	// Small products run the loop directly: no closure, no goroutines,
-	// no allocation. The loop body must mirror the parallel branch so
-	// results are bit-identical either way.
-	if b*in*outW < denseParFLOPs {
-		for r := 0; r < b; r++ {
-			denseRow(xd[r*in:(r+1)*in], wd, bd, od[r*outW:(r+1)*outW])
-		}
-		return nil
-	}
-	parallel.ForRange(b, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			denseRow(xd[r*in:(r+1)*in], wd, bd, od[r*outW:(r+1)*outW])
-		}
-	})
-	return nil
-}
-
-// denseParFLOPs is the multiply-accumulate count below which a dense
-// forward pass runs serially on the calling goroutine.
-const denseParFLOPs = 1 << 18
-
-// denseRow computes one output row: orow = xrow @ W + bias.
-func denseRow(xrow, wd, bd, orow []float64) {
-	outW := len(orow)
-	copy(orow, bd)
-	for k, xv := range xrow {
-		if xv == 0 {
-			continue
-		}
-		wrow := wd[k*outW : (k+1)*outW]
-		for j := range orow {
-			orow[j] += xv * wrow[j]
-		}
-	}
+	return tensor.MatMulBiasInto(dst, x, d.Weight.W, d.Bias.W)
 }
 
 // Backward computes input gradients and accumulates dW, db. Both matrix

@@ -183,8 +183,9 @@ func Decode(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("implausible layer count %d", nLayers)
 	}
 	net := NewNetwork(0)
+	budget := maxModelParams
 	for li := uint32(0); li < nLayers; li++ {
-		layer, err := decodeLayer(r, net, 0)
+		layer, err := decodeLayer(r, net, 0, &budget)
 		if err != nil {
 			return nil, fmt.Errorf("layer %d: %w", li, err)
 		}
@@ -194,7 +195,8 @@ func Decode(r io.Reader) (*Network, error) {
 }
 
 // decodeLayer reads one serialized layer (recursing into containers).
-func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
+// budget is the parameter count the model may still allocate.
+func decodeLayer(r io.Reader, net *Network, depth int, budget *int) (Layer, error) {
 	if depth > 8 {
 		return nil, fmt.Errorf("container nesting too deep")
 	}
@@ -230,7 +232,7 @@ func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
 			return nil, err
 		}
 	}
-	layer, err := buildLayer(net, layerSpec{Kind: kind, Ints: ints, Floats: floats})
+	layer, err := buildLayer(net, layerSpec{Kind: kind, Ints: ints, Floats: floats}, budget)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +302,7 @@ func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
 	if c, ok := layer.(containerLayer); ok {
 		sub := c.subNetwork()
 		for si := uint32(0); si < nSub; si++ {
-			sl, err := decodeLayer(r, sub, depth+1)
+			sl, err := decodeLayer(r, sub, depth+1, budget)
 			if err != nil {
 				return nil, fmt.Errorf("sub-layer %d: %w", si, err)
 			}
@@ -312,8 +314,39 @@ func decodeLayer(r io.Reader, net *Network, depth int) (Layer, error) {
 	return layer, nil
 }
 
-// buildLayer reconstructs a layer from its serialized spec.
-func buildLayer(net *Network, sp layerSpec) (Layer, error) {
+// maxModelParams caps the parameters a decoded model may declare (128 MB
+// of float64). Layers allocate their parameters from the widths in the
+// file before its values are read, so without a cap a few forged bytes
+// could demand any amount of memory.
+const maxModelParams = 1 << 24
+
+// claimParams checks that every config int is positive, then charges the
+// layer's parameter count, the product of weight plus bias, against
+// budget. Products are checked by division before multiplying, so they
+// cannot overflow.
+func claimParams(sp layerSpec, budget *int, weight []int, bias int) error {
+	for _, v := range sp.Ints {
+		if v <= 0 {
+			return fmt.Errorf("%s config %v: widths must be positive", sp.Kind, sp.Ints)
+		}
+	}
+	n := 1
+	for _, d := range weight {
+		if n > *budget/d {
+			return fmt.Errorf("%s config %v: model exceeds %d parameters", sp.Kind, sp.Ints, maxModelParams)
+		}
+		n *= d
+	}
+	if n > *budget-bias {
+		return fmt.Errorf("%s config %v: model exceeds %d parameters", sp.Kind, sp.Ints, maxModelParams)
+	}
+	*budget -= n + bias
+	return nil
+}
+
+// buildLayer reconstructs a layer from its serialized spec, charging its
+// parameters against budget before allocating them.
+func buildLayer(net *Network, sp layerSpec, budget *int) (Layer, error) {
 	wantInts := func(n int) error {
 		if len(sp.Ints) != n {
 			return fmt.Errorf("%s wants %d int configs, got %d", sp.Kind, n, len(sp.Ints))
@@ -325,14 +358,23 @@ func buildLayer(net *Network, sp layerSpec) (Layer, error) {
 		if err := wantInts(2); err != nil {
 			return nil, err
 		}
+		if err := claimParams(sp, budget, sp.Ints, sp.Ints[1]); err != nil {
+			return nil, err
+		}
 		return net.NewDense(sp.Ints[0], sp.Ints[1]), nil
 	case sp.Kind == "conv1d":
 		if err := wantInts(4); err != nil {
 			return nil, err
 		}
+		if err := claimParams(sp, budget, sp.Ints[:3], sp.Ints[1]); err != nil {
+			return nil, err
+		}
 		return net.NewConv1D(sp.Ints[0], sp.Ints[1], sp.Ints[2], sp.Ints[3]), nil
 	case sp.Kind == "conv2d":
 		if err := wantInts(5); err != nil {
+			return nil, err
+		}
+		if err := claimParams(sp, budget, sp.Ints[:4], sp.Ints[1]); err != nil {
 			return nil, err
 		}
 		return net.NewConv2D(sp.Ints[0], sp.Ints[1], sp.Ints[2], sp.Ints[3], sp.Ints[4]), nil

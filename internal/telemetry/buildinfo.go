@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
 // BuildInfo identifies the running binary: the main module version,
 // the VCS revision it was built from (with a -dirty suffix for a
-// modified working tree), and the Go toolchain. Everything degrades
+// modified working tree), the Go toolchain, and the f64 GEMM kernel
+// the host dispatched to (tensor.Kernel). Everything else degrades
 // to "unknown" when the binary was built without module or VCS
 // metadata (e.g. go run from a tarball), never to an error — version
 // reporting must not be able to fail.
@@ -16,6 +19,7 @@ type BuildInfo struct {
 	Version   string `json:"version"`
 	Revision  string `json:"revision"`
 	GoVersion string `json:"go_version"`
+	Kernel    string `json:"kernel"`
 }
 
 var (
@@ -27,7 +31,7 @@ var (
 // runtime/debug.ReadBuildInfo.
 func Build() BuildInfo {
 	buildOnce.Do(func() {
-		buildInfo = BuildInfo{Version: "unknown", Revision: "unknown", GoVersion: "unknown"}
+		buildInfo = BuildInfo{Version: "unknown", Revision: "unknown", GoVersion: "unknown", Kernel: tensor.Kernel()}
 		bi, ok := debug.ReadBuildInfo()
 		if !ok {
 			return
@@ -60,10 +64,10 @@ func Build() BuildInfo {
 }
 
 // VersionString renders the one-line answer every binary's -version
-// flag prints: "name version (revision, goversion)".
+// flag prints: "name version (revision, goversion, kernel kernel)".
 func VersionString(name string) string {
 	b := Build()
-	return fmt.Sprintf("%s %s (%s, %s)", name, b.Version, b.Revision, b.GoVersion)
+	return fmt.Sprintf("%s %s (%s, %s, kernel %s)", name, b.Version, b.Revision, b.GoVersion, b.Kernel)
 }
 
 // RegisterBuildInfo publishes the conventional build-info gauge: a
@@ -72,6 +76,6 @@ func VersionString(name string) string {
 func (r *Registry) RegisterBuildInfo(name string) {
 	b := Build()
 	r.GaugeVec(name, "Build and version information of the running binary (value is always 1).",
-		"version", "revision", "goversion").
-		With(b.Version, b.Revision, b.GoVersion).Set(1)
+		"version", "revision", "goversion", "kernel").
+		With(b.Version, b.Revision, b.GoVersion, b.Kernel).Set(1)
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // TestCounterGaugeBasics: the scalar primitives hold and report exact
@@ -272,21 +274,22 @@ func TestHandler(t *testing.T) {
 }
 
 // TestBuildInfo: the build-info gauge renders as a value-1 series with
-// version/revision/goversion labels, and VersionString is non-empty
-// for every field.
+// version/revision/goversion/kernel labels, and VersionString is
+// non-empty for every field and names the kernel.
 func TestBuildInfo(t *testing.T) {
 	bi := Build()
-	if bi.Version == "" || bi.Revision == "" || bi.GoVersion == "" {
+	if bi.Version == "" || bi.Revision == "" || bi.GoVersion == "" || bi.Kernel != tensor.Kernel() {
 		t.Fatalf("Build() has empty fields: %+v", bi)
 	}
 	vs := VersionString("toolname")
-	if !strings.HasPrefix(vs, "toolname ") || !strings.Contains(vs, bi.GoVersion) {
+	if !strings.HasPrefix(vs, "toolname ") || !strings.Contains(vs, bi.GoVersion) || !strings.Contains(vs, "kernel "+bi.Kernel) {
 		t.Fatalf("VersionString = %q", vs)
 	}
 	r := NewRegistry()
 	r.RegisterBuildInfo("t_build_info")
 	out := string(r.AppendPrometheus(nil))
-	if !strings.Contains(out, `t_build_info{`) || !strings.Contains(out, `goversion="`+bi.GoVersion+`"`) {
+	if !strings.Contains(out, `t_build_info{`) || !strings.Contains(out, `goversion="`+bi.GoVersion+`"`) ||
+		!strings.Contains(out, `kernel="`+bi.Kernel+`"`) {
 		t.Fatalf("build info missing from exposition:\n%s", out)
 	}
 	if !strings.HasSuffix(strings.TrimSpace(out), "} 1") {

@@ -178,6 +178,10 @@ func TestMatMulIntoErrors(t *testing.T) {
 	}
 }
 
+// BenchmarkMatMul times the f64 product at the square sizes and the
+// serving shapes (the wide MLP's three layers at batch 32, the binomial
+// surrogate's hidden layer at batch 1024), running the kernel this host
+// dispatches to beside the generic loop, and reports GFLOP/s for both.
 func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, size := range []int{64, 256} {
@@ -191,14 +195,130 @@ func BenchmarkMatMul(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("n%d-into", size), func(b *testing.B) {
-			dst := New(size, size)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := MatMulInto(dst, x, y); err != nil {
-					b.Fatal(err)
+	}
+	for _, s := range [][3]int{{32, 16, 128}, {32, 128, 128}, {32, 128, 8}, {1024, 16, 16}, {256, 256, 256}} {
+		m, k, n := s[0], s[1], s[2]
+		x, y, dst := randTensor(rng, m, k), randTensor(rng, k, n), New(m, n)
+		for _, leg := range []struct {
+			name string
+			tile bool
+		}{{Kernel(), haveTile}, {"generic", false}} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", m, k, n, leg.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					matMulKernel(dst, x, y, nil, leg.tile)
+				}
+				b.ReportMetric(float64(2*m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+// specialTensor fills a tensor like randTensor and, when special is set,
+// salts it with -0, ±Inf and NaN.
+func specialTensor(rng *rand.Rand, special bool, shape ...int) *Tensor {
+	t := randTensor(rng, shape...)
+	if !special {
+		return t
+	}
+	d := t.Data()
+	for i := range d {
+		switch rng.Intn(40) {
+		case 0:
+			d[i] = math.Copysign(0, -1)
+		case 1:
+			d[i] = math.Inf(1)
+		case 2:
+			d[i] = math.Inf(-1)
+		case 3:
+			d[i] = math.NaN()
+		}
+	}
+	return t
+}
+
+// TestPropTileBitIdenticalToGeneric compares the tile dispatch with the
+// generic loop bit for bit, over shapes with rows%4 != 0 and cols%8 != 0,
+// inputs holding zeros and -0, biases holding -0, and weights holding
+// ±Inf and NaN: the cases where computing 0*w differs from skipping it.
+func TestPropTileBitIdenticalToGeneric(t *testing.T) {
+	if !haveTile {
+		t.Log("no AVX2 tile on this host: both sides run the generic loop")
+	}
+	rng := rand.New(rand.NewSource(11))
+	shapes := [][3]int{{4, 1, 8}, {5, 3, 9}, {32, 16, 128}, {33, 128, 130}, {70, 300, 64}, {9, 520, 530}}
+	for trial := 0; trial < 60; trial++ {
+		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(40)})
+	}
+	for i, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		a := specialTensor(rng, false, m, k)
+		b := specialTensor(rng, i%3 == 1, k, n)
+		var bias *Tensor
+		if i%2 == 0 {
+			bias = specialTensor(rng, i%4 == 0, n)
+			if i%4 == 0 {
+				bias.Data()[rng.Intn(n)] = math.Copysign(0, -1)
+			}
+		}
+		got, want := Full(7, m, n), Full(-7, m, n)
+		matMulKernel(got, a, b, bias, true)
+		matMulKernel(want, a, b, bias, false)
+		for j, w := range want.Data() {
+			if g := got.Data()[j]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("[%d %d %d] bias=%v element %d: tile %v (%#x), generic %v (%#x)",
+					m, k, n, bias != nil, j, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// TestMatMulBiasInto checks the bias-init entry point against MatMul plus
+// a per-row bias add done in the same order (bias first, then products).
+func TestMatMulBiasInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const m, k, n = 13, 21, 19
+	a, b, bias := randTensor(rng, m, k), randTensor(rng, k, n), randTensor(rng, n)
+	dst := Full(math.NaN(), m, n)
+	if err := MatMulBiasInto(dst, a, b, bias); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := bias.At(j)
+			for kk := 0; kk < k; kk++ {
+				if av := a.At(i, kk); av != 0 {
+					s += av * b.At(kk, j)
 				}
 			}
-		})
+			if got := dst.At(i, j); math.Float64bits(got) != math.Float64bits(s) {
+				t.Fatalf("(%d,%d): got %v, want %v", i, j, got, s)
+			}
+		}
+	}
+	if err := MatMulBiasInto(dst, a, b, New(n+1)); err == nil {
+		t.Fatal("want error for bias length mismatch")
+	}
+	if err := MatMulBiasInto(dst, a, b, New(1, n)); err == nil {
+		t.Fatal("want error for rank-2 bias")
+	}
+}
+
+// TestTileRowsChecksBounds pins the guard in front of the assembly: a
+// slice shorter than the extents it is told about panics in Go instead
+// of being read past its end.
+func TestTileRowsChecksBounds(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		od, ad, bd int
+	}{{"short A", 8 * 8, 4*4 - 1, 4 * 8}, {"short B", 8 * 8, 4 * 4, 4*8 - 1}, {"short C", 4*8 - 1, 4 * 4, 4 * 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: want panic", c.name)
+				}
+			}()
+			tileRows(make([]float64, c.od), make([]float64, c.ad), make([]float64, c.bd), 4, 8, 0, 4, 8)
+		}()
 	}
 }
