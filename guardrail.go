@@ -65,7 +65,7 @@ func FitGuardrail(x *tensor.Tensor, q float64) (*Guardrail, error) {
 	for f := 0; f < features; f++ {
 		col = col[:0]
 		for r := 0; r < rows; r++ {
-			if v := data[r*features+f]; !math.IsNaN(v) && !math.IsInf(v, 0) {
+			if v := data[r*features+f]; finite(v) {
 				col = append(col, v)
 			}
 		}
@@ -120,7 +120,7 @@ func (g *Guardrail) CheckRow(row []float64) bool {
 		return false
 	}
 	for f, v := range row {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !finite(v) {
 			return false
 		}
 		span := g.Hi[f] - g.Lo[f]
@@ -199,7 +199,9 @@ func (g *Guardrail) Save(path string) error {
 	return f.Close()
 }
 
-// DecodeGuardrail reads a sidecar-format guardrail.
+// DecodeGuardrail reads a sidecar-format guardrail. A margin or bound
+// that is not finite is refused: NaN compares false against every row,
+// so it would make CheckRow accept anything.
 func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	var hdr [3]uint32
 	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
@@ -215,23 +217,34 @@ func DecodeGuardrail(r io.Reader) (*Guardrail, error) {
 	if n == 0 || n > guardMaxFeats {
 		return nil, fmt.Errorf("hpacml: implausible guardrail feature count %d", n)
 	}
-	g := &Guardrail{Lo: make([]float64, n), Hi: make([]float64, n)}
-	if err := binary.Read(r, binary.LittleEndian, &g.Margin); err != nil {
-		return nil, fmt.Errorf("hpacml: guardrail margin: %w", err)
+	// The margin and bounds are read as they arrive, so a header that
+	// declares more features than the input holds allocates only what
+	// was read before the short read is refused.
+	want := 8 * (1 + 2*n)
+	body, err := io.ReadAll(io.LimitReader(r, int64(want)))
+	if err == nil && len(body) < want {
+		err = io.ErrUnexpectedEOF
 	}
-	if err := binary.Read(r, binary.LittleEndian, g.Lo); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
 	}
-	if err := binary.Read(r, binary.LittleEndian, g.Hi); err != nil {
-		return nil, fmt.Errorf("hpacml: guardrail bounds: %w", err)
+	vals := make([]float64, 1+2*n)
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+	g := &Guardrail{Margin: vals[0], Lo: vals[1 : 1+n : 1+n], Hi: vals[1+n:]}
+	if !finite(g.Margin) {
+		return nil, fmt.Errorf("hpacml: guardrail margin %g is not finite", g.Margin)
 	}
 	for f := 0; f < n; f++ {
-		if g.Lo[f] > g.Hi[f] {
-			return nil, fmt.Errorf("hpacml: guardrail feature %d has inverted bounds [%g, %g]", f, g.Lo[f], g.Hi[f])
+		if !finite(g.Lo[f]) || !finite(g.Hi[f]) || !finite(g.Hi[f]-g.Lo[f]) || g.Lo[f] > g.Hi[f] {
+			return nil, fmt.Errorf("hpacml: guardrail feature %d has non-finite or inverted bounds [%g, %g]", f, g.Lo[f], g.Hi[f])
 		}
 	}
 	return g, nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // LoadGuardrail reads the sidecar file at path.
 func LoadGuardrail(path string) (*Guardrail, error) {

@@ -173,8 +173,7 @@ func (s Stats) BridgeOverhead() float64 {
 // counters; two goroutines calling into the same Region race on all of
 // them. Concurrent callers should instead give each worker goroutine its
 // own replica Region (same directives, its own bound arrays) and feed the
-// replicas from a shared queue — the replica-pool idiom internal/serve
-// uses to turn independent concurrent requests into ExecuteBatch calls.
+// replicas from a shared queue.
 type Region struct {
 	name string
 
@@ -268,8 +267,8 @@ type Region struct {
 }
 
 // maxBatchStates caps how many distinct batch sizes keep cached staging
-// at once (the serving coalescer cuts batches anywhere in [1, MaxBatch],
-// so 64 covers its default policy without eviction).
+// at once (a caller whose batch sizes follow load cuts them anywhere in
+// [1, its max batch]; 64 covers a 64-row policy without eviction).
 const maxBatchStates = 64
 
 // batchState is the cached staging for one ExecuteBatch size n: the
@@ -628,13 +627,6 @@ func (r *Region) NumDirectives() int { return len(r.dirSrcs) }
 func (r *Region) DirectiveLines() []string {
 	return append([]string(nil), r.dirSrcs...)
 }
-
-// InputShape returns the model input shape of one region invocation
-// under the configured input layout — what the bridge will present to
-// the model. Serving-layer replica pools use it to validate that a
-// registered model's expected input matches the region's bridging before
-// any traffic arrives.
-func (r *Region) InputShape() ([]int, error) { return r.modelInputShape() }
 
 // Stats returns a snapshot of the region's runtime accounting, with
 // the capture sink's counters folded in (relative to the last
@@ -1150,32 +1142,10 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 	if err := r.warmEngine(ctx); err != nil {
 		return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, err)
 	}
-	bs := r.batches[n]
-	if bs == nil {
-		shape, err := r.modelInputShape()
-		if err != nil {
-			return err
-		}
-		if bs, err = r.buildBatchStaging(n, shape); err != nil {
-			return err
-		}
-		if r.batches == nil {
-			r.batches = make(map[int]*batchState)
-		}
-		// Bound the cache: a caller cycling through many distinct batch
-		// sizes (variable tail batches) must not accumulate staging
-		// tensors forever. Evicting an arbitrary entry costs at most one
-		// rebuild for that size later.
-		if len(r.batches) >= maxBatchStates {
-			for k := range r.batches {
-				delete(r.batches, k)
-				break
-			}
-		}
-		r.batches[n] = bs
+	bs, err := r.batchStaging(n)
+	if err != nil {
+		return err
 	}
-
-	var err error
 	for i := 0; i < n; i++ {
 		if stage != nil {
 			if err := stage(i); err != nil {
@@ -1251,6 +1221,36 @@ func (r *Region) ExecuteBatchContext(ctx context.Context, n int, stage func(i in
 		}
 	}
 	return nil
+}
+
+// batchStaging returns the cached staging for batch size n, building it
+// on first use. The cache is bounded: a caller cycling through many
+// distinct batch sizes (variable tail batches) must not accumulate
+// staging tensors forever, and evicting an arbitrary entry costs at
+// most one rebuild for that size later.
+func (r *Region) batchStaging(n int) (*batchState, error) {
+	if bs := r.batches[n]; bs != nil {
+		return bs, nil
+	}
+	shape, err := r.modelInputShape()
+	if err != nil {
+		return nil, err
+	}
+	bs, err := r.buildBatchStaging(n, shape)
+	if err != nil {
+		return nil, err
+	}
+	if r.batches == nil {
+		r.batches = make(map[int]*batchState)
+	}
+	if len(r.batches) >= maxBatchStates {
+		for k := range r.batches {
+			delete(r.batches, k)
+			break
+		}
+	}
+	r.batches[n] = bs
+	return bs, nil
 }
 
 // buildBatchStaging allocates the batched input staging tensor for n

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,8 +170,8 @@ func (zeroReader) Read(p []byte) (int, error) {
 // endpoints: a forged Content-Length is refused before any allocation
 // or read (413), a body that actually overruns serveapi.MaxFrameLen
 // dies mid-read (413), a frame claiming more rows than the per-request
-// fan-out cap is a 400, and a forged zero-cols geometry never reaches
-// the row fan-out (400 from the decoder).
+// row cap is a 400, and a forged zero-cols geometry never reaches the
+// queue (400 from the decoder).
 func TestFrameRequestLimits(t *testing.T) {
 	hpacml.ClearModelCache()
 	dir := t.TempDir()
@@ -203,7 +202,7 @@ func TestFrameRequestLimits(t *testing.T) {
 	if rec := do("/v1/capture", long, -1); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("overlong chunked body: %d %s", rec.Code, rec.Body)
 	}
-	// A well-formed frame with more rows than one request may fan out.
+	// A well-formed frame with more rows than one request may carry.
 	rows := maxInferRows + 1
 	frame, err := serveapi.AppendInferRequest(nil, serveapi.DtypeF32, "m", rows, 1, make([]float64, rows))
 	if err != nil {
@@ -225,33 +224,6 @@ func TestFrameRequestLimits(t *testing.T) {
 	forged = append(forged, body...)
 	if rec := do("/v1/infer", bytes.NewReader(forged), int64(len(forged))); rec.Code != http.StatusBadRequest {
 		t.Fatalf("forged zero-cols frame: %d %s", rec.Code, rec.Body)
-	}
-}
-
-// TestForEachRowBoundedFanout: every row index runs exactly once, and
-// concurrency never exceeds maxInferFanout no matter the batch size.
-func TestForEachRowBoundedFanout(t *testing.T) {
-	const rows = 5000
-	hits := make([]atomic.Int32, rows)
-	var cur, peak atomic.Int32
-	forEachRow(rows, func(i int) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		hits[i].Add(1)
-		cur.Add(-1)
-	})
-	for i := range hits {
-		if n := hits[i].Load(); n != 1 {
-			t.Fatalf("row %d ran %d times", i, n)
-		}
-	}
-	if p := peak.Load(); p > maxInferFanout {
-		t.Fatalf("fan-out peaked at %d goroutines, cap %d", p, maxInferFanout)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"log/slog"
 	"mime"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/learner"
@@ -283,7 +283,6 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !h.log.Enabled(r.Context(), level) {
 		return
 	}
-	queue, forward := sp.stageDurations()
 	attrs := make([]slog.Attr, 0, 13)
 	attrs = append(attrs,
 		slog.String("rid", rid),
@@ -304,8 +303,8 @@ func (h *handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			slog.String("dtype", sp.dtype),
 			slog.Int("rows", sp.rows),
 			slog.Duration("decode", sp.decode),
-			slog.Duration("queue", queue),
-			slog.Duration("forward", forward),
+			slog.Duration("queue", sp.queue),
+			slog.Duration("forward", sp.forward),
 			slog.Duration("encode", sp.encode),
 		)
 	}
@@ -325,43 +324,66 @@ func (h *handler) serveInfer(w http.ResponseWriter, r *http.Request) {
 		h.serveInferFrame(w, r)
 		return
 	}
-	s, sp := h.s, spanFrom(r.Context())
+	sp := spanFrom(r.Context())
 	sp.wire, sp.dtype = "json", "f64"
 	h.wireInfer[wireSlotJSON].Inc()
 	decodeStart := time.Now()
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeJSONBody(w, r, &req) {
 		return
 	}
 	h.observeDecode(sp, time.Since(decodeStart))
 	sp.model = req.Model
+	rows, cols, in := 1, len(req.Input), req.Input
 	switch {
 	case req.Input != nil && req.Inputs == nil:
-		sp.rows = 1
-		out, err := s.infer(req.Model, req.Input, sp)
-		if err != nil {
-			writeErr(w, r, statusFor(err), err)
-			return
-		}
-		h.encodeJSON(w, sp, InferResponse{Model: req.Model, Output: out})
-	case req.Inputs != nil && req.Input == nil:
-		sp.rows = len(req.Inputs)
-		outs := make([][]float64, len(req.Inputs))
-		errs := make([]error, len(req.Inputs))
-		forEachRow(len(req.Inputs), func(i int) {
-			outs[i], errs[i] = s.infer(req.Model, req.Inputs[i], sp)
-		})
-		for _, err := range errs {
-			if err != nil {
-				writeErr(w, r, statusFor(err), err)
+	case len(req.Inputs) > 0 && req.Input == nil:
+		rows, cols = len(req.Inputs), len(req.Inputs[0])
+		// Every row is checked before any is queued: a ragged request
+		// runs nothing.
+		for i, row := range req.Inputs {
+			if len(row) != cols {
+				writeErr(w, r, http.StatusBadRequest, fmt.Errorf("%w: row %d has %d input features, row 0 has %d", ErrBadInput, i, len(row), cols))
 				return
 			}
 		}
-		h.encodeJSON(w, sp, InferResponse{Model: req.Model, Outputs: outs})
+		in = slices.Concat(req.Inputs...)
 	default:
-		writeErr(w, r, http.StatusBadRequest, errors.New(`set exactly one of "input" or "inputs"`))
+		writeErr(w, r, http.StatusBadRequest, errors.New(`set exactly one of "input" or "inputs" (with at least one row)`))
+		return
 	}
+	sp.rows = rows
+	out, ok := h.serveRows(w, r, sp, req.Model, rows, in, nil)
+	if !ok {
+		return
+	}
+	resp := InferResponse{Model: req.Model}
+	if req.Inputs == nil {
+		resp.Output = out
+	} else {
+		outCols := len(out) / rows
+		resp.Outputs = make([][]float64, rows)
+		for i := range resp.Outputs {
+			resp.Outputs[i] = out[i*outCols : (i+1)*outCols]
+		}
+	}
+	h.encodeJSON(w, sp, resp)
+}
+
+// serveRows runs one request's row slab for either wire, enforcing the
+// row cap first. The outputs land in out (reused when large enough).
+// On failure it writes the error response.
+func (h *handler) serveRows(w http.ResponseWriter, r *http.Request, sp *span, model string, rows int, in, out []float64) ([]float64, bool) {
+	if rows > maxInferRows {
+		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("request carries %d rows, limit %d", rows, maxInferRows))
+		return out, false
+	}
+	out, err := h.s.inferRows(model, rows, in, out, sp)
+	if err != nil {
+		writeErr(w, r, statusFor(err), err)
+		return out, false
+	}
+	return out, true
 }
 
 // serveCapture handles POST /v1/capture on either wire.
@@ -379,8 +401,7 @@ func (h *handler) serveCapture(w http.ResponseWriter, r *http.Request) {
 	h.wireCapture[wireSlotJSON].Inc()
 	decodeStart := time.Now()
 	var req serveapi.CaptureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("bad JSON: %w", err))
+	if !decodeJSONBody(w, r, &req) {
 		return
 	}
 	h.observeDecode(sp, time.Since(decodeStart))
@@ -397,6 +418,17 @@ func (h *handler) serveCapture(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h.encodeJSON(w, sp, serveapi.CaptureResponse{DB: req.DB, Accepted: accepted})
+}
+
+// decodeJSONBody decodes a JSON request body of at most
+// serveapi.MaxFrameLen bytes into v — the bound the frame wire has —
+// answering 413 for a longer body and 400 for a malformed one.
+func decodeJSONBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serveapi.MaxFrameLen)).Decode(v); err != nil {
+		writeErr(w, r, readBodyStatus(err), fmt.Errorf("bad JSON: %w", err))
+		return false
+	}
+	return true
 }
 
 // observeDecode records a request's body-decode duration in both the
@@ -487,10 +519,11 @@ var framePool = sync.Pool{New: func() any { return new(frameScratch) }}
 // already exceeds the frame size limit, before any byte is read.
 var errFrameTooLarge = fmt.Errorf("frame exceeds %d bytes", serveapi.MaxFrameLen)
 
-// readFrameStatus maps a frame body-read failure: an oversized frame —
+// readBodyStatus maps a request body-read failure: an oversized body —
 // declared up front or discovered mid-read — is 413, anything else
-// (client disconnects, chunked-encoding garbage) a plain 400.
-func readFrameStatus(err error) int {
+// (client disconnects, chunked-encoding garbage, malformed JSON) a
+// plain 400.
+func readBodyStatus(err error) int {
 	var mbe *http.MaxBytesError
 	if errors.Is(err, errFrameTooLarge) || errors.As(err, &mbe) {
 		return http.StatusRequestEntityTooLarge
@@ -529,44 +562,9 @@ func readFrameBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, 
 	}
 }
 
-// Per-request batch fan-out bounds: one request may carry at most
-// maxInferRows rows, served by at most maxInferFanout goroutines. The
-// rows still reach the coalescer concurrently, like independent
-// clients, but a single huge (or forged) batch cannot spawn a
-// goroutine per row or size multi-GB bookkeeping slices.
-const (
-	maxInferRows   = 1 << 20
-	maxInferFanout = 64
-)
-
-// forEachRow runs fn(i) for every i in [0, rows) across at most
-// maxInferFanout goroutines.
-func forEachRow(rows int, fn func(i int)) {
-	if rows == 1 {
-		fn(0)
-		return
-	}
-	workers := rows
-	if workers > maxInferFanout {
-		workers = maxInferFanout
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= rows {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// maxInferRows caps the rows of one request on either wire, so a
+// single huge (or forged) batch cannot size multi-GB slabs.
+const maxInferRows = 1 << 20
 
 // wireSnapshot folds the hot-path wire counters into the /v1/stats
 // Wire section, skipping combinations that have seen no traffic.
@@ -607,17 +605,18 @@ func dtypeSlot(dt serveapi.Dtype) (slot int, label string) {
 }
 
 // serveInferFrame is the binary hot path of /v1/infer: decode the
-// request slab into pooled buffers, submit every row to the coalescer
-// concurrently, and answer a response frame of the request's dtype.
+// request slab into pooled buffers, queue it on the coalescer as one
+// request whose outputs land in a pooled slab, and answer a response
+// frame of the request's dtype.
 func (h *handler) serveInferFrame(w http.ResponseWriter, r *http.Request) {
-	s, sp := h.s, spanFrom(r.Context())
+	sp := spanFrom(r.Context())
 	sp.wire = "binary"
 	fs := framePool.Get().(*frameScratch)
 	defer framePool.Put(fs)
 	decodeStart := time.Now()
 	var err error
 	if fs.body, err = readFrameBody(w, r, fs.body); err != nil {
-		writeErr(w, r, readFrameStatus(err), fmt.Errorf("reading frame: %w", err))
+		writeErr(w, r, readBodyStatus(err), fmt.Errorf("reading frame: %w", err))
 		return
 	}
 	req, err := serveapi.DecodeInferRequest(fs.body, fs.in)
@@ -631,35 +630,12 @@ func (h *handler) serveInferFrame(w http.ResponseWriter, r *http.Request) {
 	sp.dtype = dlabel
 	sp.model, sp.rows = req.Model, req.Rows
 	h.wireInfer[slot].Inc()
-	if req.Rows == 0 {
-		writeErr(w, r, http.StatusBadRequest, errors.New("frame must carry at least one row"))
+	var ok bool
+	if fs.out, ok = h.serveRows(w, r, sp, req.Model, req.Rows, req.Data, fs.out); !ok {
 		return
-	}
-	if req.Rows > maxInferRows {
-		writeErr(w, r, http.StatusBadRequest, fmt.Errorf("frame carries %d rows, limit %d", req.Rows, maxInferRows))
-		return
-	}
-	outs := make([][]float64, req.Rows)
-	errs := make([]error, req.Rows)
-	forEachRow(req.Rows, func(i int) {
-		outs[i], errs[i] = s.infer(req.Model, req.Data[i*req.Cols:(i+1)*req.Cols], sp)
-	})
-	for _, err := range errs {
-		if err != nil {
-			writeErr(w, r, statusFor(err), err)
-			return
-		}
 	}
 	encStart := time.Now()
-	outCols := len(outs[0])
-	if cap(fs.out) < req.Rows*outCols {
-		fs.out = make([]float64, 0, req.Rows*outCols)
-	}
-	fs.out = fs.out[:0]
-	for _, row := range outs {
-		fs.out = append(fs.out, row...)
-	}
-	if fs.enc, err = serveapi.AppendInferResponse(fs.enc[:0], req.Dtype, req.Model, req.Rows, outCols, fs.out); err != nil {
+	if fs.enc, err = serveapi.AppendInferResponse(fs.enc[:0], req.Dtype, req.Model, req.Rows, len(fs.out)/req.Rows, fs.out); err != nil {
 		writeErr(w, r, http.StatusInternalServerError, err)
 		return
 	}
@@ -683,7 +659,7 @@ func (h *handler) serveCaptureFrame(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	var err error
 	if fs.body, err = readFrameBody(w, r, fs.body); err != nil {
-		writeErr(w, r, readFrameStatus(err), fmt.Errorf("reading frame: %w", err))
+		writeErr(w, r, readBodyStatus(err), fmt.Errorf("reading frame: %w", err))
 		return
 	}
 	db, recs, err := serveapi.DecodeCaptureRequest(fs.body)

@@ -73,17 +73,17 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			"Requests that exceeded the slow-request log threshold."),
 
 		inferRequests: reg.CounterVec("hpacml_infer_requests_total",
-			"Inference requests by model and outcome (ok, error, or rejected by queue backpressure).", "model", "outcome"),
+			"Inference rows by model and outcome (ok, error, or rejected by queue backpressure).", "model", "outcome"),
 		inferBatches: reg.CounterVec("hpacml_infer_batches_total",
 			"Coalesced batches executed per model.", "model"),
 		batchSize: reg.HistogramVec("hpacml_infer_batch_size",
-			"Invocations per coalesced batch — mass above 1 is the coalescer doing its job.", batchSizeBuckets, "model"),
+			"Rows per coalesced batch — mass above 1 is the coalescer doing its job.", batchSizeBuckets, "model"),
 		queueWait: reg.HistogramVec("hpacml_infer_queue_seconds",
-			"Per-request wait from enqueue to batch cut.", lat, "model"),
+			"Per-row wait from enqueue to batch cut.", lat, "model"),
 		forward: reg.HistogramVec("hpacml_infer_forward_seconds",
-			"Per-batch Region.ExecuteBatch duration.", lat, "model"),
+			"Per-batch engine inference duration.", lat, "model"),
 		latency: reg.HistogramVec("hpacml_infer_latency_seconds",
-			"Per-request latency from enqueue to completion.", lat, "model"),
+			"Per-row latency from enqueue to completion.", lat, "model"),
 		reloads: reg.CounterVec("hpacml_model_reloads_total",
 			"Hot-reload attempts by model and result.", "model", "result"),
 
@@ -130,7 +130,7 @@ func (m *metrics) forModel(model string) modelMetrics {
 
 // registerServerFuncs installs the scrape-time families that read
 // state the server already maintains: queue depths, uptime, and the
-// replica pools' region counters (the hpacml.Stats bridge). They run
+// replica pools' hpacml.Stats counters (the region bridge). They run
 // only when /metrics is scraped.
 func (s *Server) registerServerFuncs() {
 	reg := s.met.reg
@@ -138,24 +138,24 @@ func (s *Server) registerServerFuncs() {
 		"Seconds since the server started accepting traffic.", nil,
 		func(emit telemetry.Emit) { emit(s.Uptime().Seconds()) })
 	reg.GaugeFunc("hpacml_queue_depth",
-		"Requests currently waiting in each model's bounded queue.", []string{"model"},
+		"Rows currently waiting in each model's bounded queue.", []string{"model"},
 		func(emit telemetry.Emit) {
 			for name, m := range s.models {
-				emit(float64(len(m.queue)), name)
+				emit(float64(m.depth.Load()), name)
 			}
 		})
 	reg.GaugeFunc("hpacml_queue_capacity",
-		"Capacity of each model's bounded queue (submissions beyond it are rejected).", []string{"model"},
+		"Capacity of each model's bounded queue in rows (a request arriving when it is full is rejected).", []string{"model"},
 		func(emit telemetry.Emit) {
-			for name, m := range s.models {
-				emit(float64(cap(m.queue)), name)
+			for name := range s.models {
+				emit(float64(s.cfg.QueueCap), name)
 			}
 		})
 
 	// The region bridge: the replica pools already accumulate
-	// hpacml.Stats (trust verdicts, fallbacks, capture pipeline
-	// counters); re-counting them on the hot path would be double
-	// bookkeeping, so the scrape sums the replicas' latest snapshots.
+	// hpacml.Stats, the schema an embedded Region reports; re-counting
+	// them on the hot path would be double bookkeeping, so the scrape
+	// sums the replicas' latest snapshots.
 	regionSum := func(each func(model string, sum hpacml.Stats)) {
 		for name, m := range s.models {
 			each(name, m.stats.regionSum())

@@ -25,22 +25,20 @@ type ModelSpec struct {
 	Path string
 	// Ensemble lists additional member model files. When non-empty each
 	// replica serves the deep ensemble {Path, Ensemble...} through an
-	// EnsembleEngine: the response is the member-mean prediction, and
-	// the per-row predictive variance is available to trust gates. All
+	// EnsembleEngine: the response is the member-mean prediction. All
 	// members must share the primary's I/O widths.
 	Ensemble []string
 	In       int
 	Out      int
 	// F32 serves the model through the single-precision inference path:
-	// each replica's directive gains f32(on), so its LocalEngine
-	// converts the weights to float32 once at load and runs batches in
-	// single precision. Ensembles ignore it (their injected engine owns
-	// precision), as do models the f32 compiler cannot handle — those
-	// silently stay float64.
+	// each replica's LocalEngine is built with WithFloat32Inference, so
+	// it converts the weights to float32 once at load and runs batches
+	// in single precision. Ensembles ignore it, as do models the f32
+	// compiler cannot handle — those silently stay float64.
 	F32 bool
 	// I8 serves the model through the quantized int8 path: each
-	// replica's directive gains quant(int8), so its LocalEngine
-	// auto-loads the ".quant" calibration sidecar beside the model file
+	// replica's LocalEngine is built with WithInt8Inference, so it
+	// loads the ".quant" calibration sidecar beside the model file
 	// (written by hpacml-quant) and compiles the int8 program. A
 	// missing, corrupt, or gate-failed sidecar silently keeps the wider
 	// path, and ensembles ignore it like F32. When both F32 and I8 are
@@ -60,35 +58,24 @@ type model struct {
 	members []string // every served model file: path first, then the ensemble
 	in, out int
 
-	queue    chan *request
+	// queue carries row ranges of admitted requests; depth counts the
+	// rows admitted but not yet cut into a batch — the quantity
+	// QueueCap bounds.
+	queue    chan rowRange
+	depth    atomic.Int64
 	replicas []*replica
 	stats    *modelStats
 
 	// gen counts accepted reloads; replicas compare it against their own
-	// generation at each batch boundary and RefreshModel on mismatch,
-	// picking up the network checkReload published to the shared cache.
+	// generation at each batch boundary and refresh their engine on
+	// mismatch, picking up the network checkReload published to the
+	// shared cache.
 	gen   atomic.Uint64
 	sumMu sync.Mutex
 	sum   [sha256.Size]byte
 	// loadedAt is when the served weights were (re)loaded — provenance
 	// for /v1/models, guarded by sumMu like the checksum it travels with.
 	loadedAt time.Time
-}
-
-// replica is one worker's single-threaded execution context: a Region
-// plus the application arrays it is bound to. The worker copies request
-// inputs into in, runs the region, and copies outputs from out.
-type replica struct {
-	idx    int
-	region *hpacml.Region
-	// engine is the replica's injected ensemble engine, nil for
-	// single-model replicas (the region derives and owns a LocalEngine
-	// itself). Injected engines are not owned by the region, so the
-	// replica closes it alongside.
-	engine *hpacml.EnsembleEngine
-	in     []float64
-	out    []float64
-	gen    uint64
 }
 
 // newModel resolves the spec (loading the .gmod to infer or validate
@@ -130,13 +117,13 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 		members:  members,
 		in:       in,
 		out:      out,
-		queue:    make(chan *request, cfg.QueueCap),
+		queue:    make(chan rowRange, cfg.QueueCap),
 		stats:    newModelStats(cfg.MaxBatch, cfg.Workers, met.forModel(spec.Name)),
 		sum:      sum,
 		loadedAt: time.Now(),
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		rep, err := newReplica(spec.Name, members, i, in, out, spec.F32, spec.I8)
+		rep, err := newReplica(spec, members, i, in, out, cfg.MaxBatch)
 		if err != nil {
 			m.closeReplicas()
 			return nil, err
@@ -146,19 +133,29 @@ func newModel(spec ModelSpec, cfg Config, met *metrics) (*model, error) {
 	return m, nil
 }
 
-// closeReplicas releases every replica region (and injected ensemble
-// engine) built so far.
+// closeReplicas releases every replica engine built so far.
 func (m *model) closeReplicas() {
 	for _, rep := range m.replicas {
-		rep.region.Close()
-		if rep.engine != nil {
-			rep.engine.Close()
+		rep.close()
+	}
+}
+
+// admit reserves rows in the queue unless the rows already queued reach
+// capacity: a request is admitted or rejected whole.
+func (m *model) admit(rows, capacity int) bool {
+	for {
+		d := m.depth.Load()
+		if d >= int64(capacity) {
+			return false
+		}
+		if m.depth.CompareAndSwap(d, d+int64(rows)) {
+			return true
 		}
 	}
 }
 
 // resolveDims loads the model file to infer (or cross-check) the flat
-// I/O widths the replicas will be bound to, returning the loaded
+// I/O widths the replicas serve, returning the loaded
 // network so callers can publish the exact validated object.
 func resolveDims(spec ModelSpec) (net *nn.Network, in, out int, err error) {
 	net, err = nn.Load(spec.Path)
@@ -197,70 +194,6 @@ func validateDims(net *nn.Network, in, out int) error {
 	return nil
 }
 
-// newReplica builds one generic vector-in/vector-out inference region
-// bound to fresh staging arrays: the bridge gathers the in-array as a
-// [1, FIN] sample and scatters the model's [1, FOUT] output back into
-// the out-array, so ExecuteBatch over n requests stacks to [n, FIN].
-// With more than one member path the replica gets its own injected
-// EnsembleEngine (engine scratch is single-threaded, so replicas never
-// share one). A zero-input warmup runs immediately so a bad model file
-// fails replica construction, not the first request.
-func newReplica(name string, members []string, idx, in, out int, f32, i8 bool) (*replica, error) {
-	x := make([]float64, in)
-	y := make([]float64, out)
-	precClause := ""
-	if f32 {
-		precClause += " f32(on)"
-	}
-	if i8 {
-		precClause += " quant(int8)"
-	}
-	opts := []hpacml.Option{
-		hpacml.BindInt("FIN", in),
-		hpacml.BindInt("FOUT", out),
-		hpacml.BindArray("x", x, in),
-		hpacml.BindArray("y", y, out),
-	}
-	var engine *hpacml.EnsembleEngine
-	if len(members) > 1 {
-		var err error
-		if engine, err = hpacml.NewLocalEnsemble(members...); err != nil {
-			return nil, fmt.Errorf("serve: model %q replica %d: %w", name, idx, err)
-		}
-		opts = append(opts, hpacml.WithEngine(engine))
-	}
-	region, err := hpacml.NewRegion(fmt.Sprintf("%s/replica%d", name, idx),
-		append([]hpacml.Option{hpacml.Directives(fmt.Sprintf(`
-tensor functor(vin: [i, 0:FIN] = ([0:FIN]))
-tensor functor(vout: [i, 0:FOUT] = ([0:FOUT]))
-tensor map(to: vin(x[0:1]))
-tensor map(from: vout(y[0:1]))
-ml(infer) in(x) out(y) model(%q)%s
-`, members[0], precClause))}, opts...)...,
-	)
-	if err != nil {
-		if engine != nil {
-			engine.Close()
-		}
-		return nil, fmt.Errorf("serve: model %q replica %d: %w", name, idx, err)
-	}
-	fail := func(err error) (*replica, error) {
-		region.Close()
-		if engine != nil {
-			engine.Close()
-		}
-		return nil, err
-	}
-	if shape, err := region.InputShape(); err != nil || len(shape) != 2 || shape[0] != 1 || shape[1] != in {
-		return fail(fmt.Errorf("serve: model %q replica %d: bridge presents %v (err %v), want [1 %d]", name, idx, shape, err, in))
-	}
-	if err := region.Execute(nil); err != nil {
-		return fail(fmt.Errorf("serve: model %q warmup: %w", name, err))
-	}
-	region.ResetStats() // don't count the warmup as served traffic
-	return &replica{idx: idx, region: region, engine: engine, in: x, out: y}, nil
-}
-
 // info snapshots the registry view.
 func (m *model) info() ModelInfo {
 	m.sumMu.Lock()
@@ -282,13 +215,13 @@ func (m *model) info() ModelInfo {
 
 // checkReload re-checksums every member file. When any byte changed,
 // each changed file is loaded and validated (loadable, same I/O widths
-// — a width change would break the replicas' bound arrays and is
+// — a width change would break the clients' row widths and is
 // refused), the validated networks are published to the shared model
 // cache, and the model generation is bumped; each replica swaps onto
-// the published weights at its next batch boundary via RefreshModel
-// (which the ensemble engine forwards to every member), so in-flight
-// requests finish on the old ones and every replica sees the same
-// objects — never a torn or re-retrained file read of its own.
+// the published weights at its next batch boundary via its engine's
+// Refresh (which the ensemble engine forwards to every member), so each
+// batch runs on one generation and every replica sees the same objects
+// — never a torn or re-retrained file read of its own.
 func (m *model) checkReload() error {
 	sum, err := filesChecksum(m.members)
 	if err != nil {

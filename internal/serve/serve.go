@@ -1,33 +1,25 @@
 // Package serve is the HPAC-ML surrogate inference server: the
 // concurrent-caller execution path the embedded programming model lacks.
+// Many independent simulation clients each send a few rows of model
+// input; a dynamic micro-batching coalescer turns them into batched
+// engine calls:
 //
-// Region.ExecuteBatch amortizes bridge and model-call overhead only when
-// one caller already holds a batch of invocations. A deployment serving
-// many independent simulation clients has the opposite shape: thousands
-// of goroutines (or HTTP requests), each carrying a single invocation.
-// This package turns the second shape into the first with a dynamic
-// micro-batching coalescer:
-//
-//   - Callers submit one invocation each (Server.Infer) into a bounded
-//     per-model queue. A full queue rejects immediately (ErrQueueFull) —
-//     explicit backpressure, never unbounded buffering.
-//   - Worker goroutines drain the queue, cutting a batch when either
-//     MaxBatch invocations have accumulated or MaxDelay has elapsed since
-//     the batch's first request, then run one Region.ExecuteBatch call.
-//   - Because a Region is not safe for concurrent use, each worker owns a
-//     replica Region (same directives, its own bound arrays) — the
-//     replica-pool idiom. Replicas share the loaded model through the
-//     runtime's path-keyed model cache, and the nn engine's pooled
-//     scratch buffers keep concurrent Forward calls safe.
+//   - A request is a decoded [rows, FIN] slab, queued as row ranges of
+//     at most MaxBatch rows on a bounded per-model queue counted in
+//     rows. A request that finds QueueCap rows already queued is
+//     rejected whole (ErrQueueFull): backpressure, never unbounded
+//     buffering.
+//   - Workers cut a batch at MaxBatch rows or MaxDelay after its first
+//     range, pack it into one [n, FIN] tensor, call their own
+//     hpacml.Engine once (engine scratch is single-threaded), and copy
+//     the output rows straight into each request's output slab.
 //
 // Models are named entries in a registry loaded from .gmod files; a
 // checksum poll detects retrained files, validates and publishes the new
-// network once (hpacml.StoreModel), and swaps replicas onto it at their
-// next batch boundary (Region.RefreshModel) without dropping in-flight
-// requests or re-reading disk per replica. A serving stats layer tracks per-model
-// throughput, the batch-size histogram (the direct evidence coalescing
-// happens), and p50/p95/p99 latency, and aggregates the regions' own
-// bridge/inference phase counters.
+// network once (hpacml.StoreModel), and each worker refreshes its
+// engine onto it at its next batch boundary. A serving stats layer
+// tracks throughput, the batch-size histogram, latency quantiles, and
+// the workers' hpacml.Stats phase counters.
 //
 // The server is also the capture-side aggregation point: a registry of
 // server-owned sharded .gh5 databases (Config.CaptureDBs) behind the
@@ -39,6 +31,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -57,7 +50,7 @@ var (
 	ErrServerClosed = errors.New("serve: server closed")
 	// ErrUnknownModel means the request named an unregistered model.
 	ErrUnknownModel = errors.New("serve: unknown model")
-	// ErrBadInput means the request's input vector does not match the
+	// ErrBadInput means the request's input rows do not match the
 	// model's input width — a caller mistake, distinct from server-side
 	// inference failures.
 	ErrBadInput = errors.New("serve: bad input")
@@ -66,16 +59,18 @@ var (
 // Config is the batching and pooling policy shared by every model the
 // server hosts.
 type Config struct {
-	// MaxBatch caps invocations per ExecuteBatch call. A batch is cut as
-	// soon as it reaches MaxBatch. Default 32.
+	// MaxBatch caps the rows of one engine call. A batch is cut as soon
+	// as it reaches MaxBatch rows; a request range that does not fit is
+	// split across batches. Default 32.
 	MaxBatch int
 	// MaxDelay bounds how long the first request of a batch waits for
 	// company before the batch is cut anyway. Default 2ms.
 	MaxDelay time.Duration
-	// QueueCap bounds each model's request queue; submissions beyond it
-	// fail with ErrQueueFull. Default 8 * MaxBatch.
+	// QueueCap bounds each model's queue, in rows: a request that finds
+	// QueueCap rows already queued fails whole with ErrQueueFull.
+	// Default 8 * MaxBatch.
 	QueueCap int
-	// Workers is the replica-pool size per model: how many Regions serve
+	// Workers is the replica-pool size per model: how many engines serve
 	// the shared queue concurrently. Default 2.
 	Workers int
 	// ReloadInterval is how often model files are re-checksummed for
@@ -95,8 +90,9 @@ type Config struct {
 	// its own registry. Nil gets a fresh private one.
 	Metrics *telemetry.Registry
 
-	// batchHook, when set, runs before each ExecuteBatch call. Test seam
-	// for stalling workers deterministically.
+	// batchHook, when set, runs before each batch's engine call with the
+	// batch's row count. Test seam for stalling workers
+	// deterministically.
 	batchHook func(model string, n int)
 }
 
@@ -126,20 +122,21 @@ type Server struct {
 	met    *metrics
 	start  time.Time
 
-	// mu serializes queue sends against Close closing the queues.
-	mu     sync.RWMutex
-	closed bool
+	// mu orders Close against requests entering: a request that saw
+	// closed unset joined senders first, so Close waits for its sends.
+	mu      sync.RWMutex
+	closed  bool
+	senders sync.WaitGroup
 
 	wg       sync.WaitGroup
-	stopPoll chan struct{}
+	stop     chan struct{} // closed once no more ranges can be queued
 	pollDone chan struct{}
 }
 
 // NewServer builds the registry (loading every model to resolve and
 // validate its dimensions), spins up each model's replica pool, and
-// starts the hot-reload poller when configured. Every replica runs one
-// zero-input warmup inference so model-load errors surface here, not on
-// the first request.
+// starts the hot-reload poller when configured. Every replica warms its
+// engine so model-load errors surface here, not on the first request.
 func NewServer(cfg Config, specs ...ModelSpec) (*Server, error) {
 	if len(specs) == 0 && len(cfg.CaptureDBs) == 0 {
 		return nil, fmt.Errorf("serve: no models registered")
@@ -150,7 +147,7 @@ func NewServer(cfg Config, specs ...ModelSpec) (*Server, error) {
 		models:   make(map[string]*model, len(specs)),
 		met:      newMetrics(cfg.Metrics),
 		start:    time.Now(),
-		stopPoll: make(chan struct{}),
+		stop:     make(chan struct{}),
 		pollDone: make(chan struct{}),
 	}
 	closeAll := func() {
@@ -197,50 +194,60 @@ func NewServer(cfg Config, specs ...ModelSpec) (*Server, error) {
 
 // Infer runs one invocation of the named model: in must hold the model's
 // input-feature count and the returned slice holds its output features.
-// The call blocks until a worker has served the request as part of a
+// The call blocks until a worker has served the row as part of a
 // coalesced batch; it fails fast with ErrQueueFull under backpressure.
 func (s *Server) Infer(modelName string, in []float64) ([]float64, error) {
-	return s.infer(modelName, in, nil)
-}
-
-// infer is Infer plus trace plumbing: when sp is non-nil, the served
-// request's queue-wait and forward durations fold into the HTTP span
-// so the request's log line carries its stage breakdown.
-func (s *Server) infer(modelName string, in []float64, sp *span) ([]float64, error) {
-	m := s.models[modelName]
-	if m == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
-	}
-	if len(in) != m.in {
-		return nil, fmt.Errorf("%w: model %q wants %d input features, got %d", ErrBadInput, modelName, m.in, len(in))
-	}
-	req := &request{
-		in:   in,
-		out:  make([]float64, m.out),
-		enq:  time.Now(),
-		done: make(chan error, 1),
-	}
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrServerClosed
-	}
-	select {
-	case m.queue <- req:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		m.stats.reject()
-		return nil, fmt.Errorf("%w: model %q at capacity %d", ErrQueueFull, modelName, cap(m.queue))
-	}
-	err := <-req.done
-	if sp != nil {
-		sp.addRow(req.queued, req.forward)
-	}
+	out, err := s.inferRows(modelName, 1, in, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return req.out, nil
+	return out, nil
+}
+
+// inferRows serves a row slab of the named model: in holds rows inputs,
+// and the outputs land in out, grown to rows*FOUT when shorter and
+// returned. The width is checked before out is sized. The request is
+// admitted or rejected whole, then queued as ranges any worker may
+// serve; the call returns once every row is served. When sp is non-nil
+// the request's queue-wait and forward durations fold into the HTTP
+// span.
+func (s *Server) inferRows(modelName string, rows int, in, out []float64, sp *span) ([]float64, error) {
+	m := s.models[modelName]
+	if m == nil {
+		return out, fmt.Errorf("%w: %q", ErrUnknownModel, modelName)
+	}
+	if rows < 1 || len(in) != rows*m.in {
+		return out, fmt.Errorf("%w: model %q wants %d input features per row, got %d values for %d rows", ErrBadInput, m.name, m.in, len(in), rows)
+	}
+	out = slices.Grow(out[:0], rows*m.out)[:rows*m.out]
+	req := &request{in: in, out: out, enq: time.Now()}
+	req.left.Add(rows)
+	s.mu.RLock()
+	closed := s.closed
+	if !closed {
+		s.senders.Add(1)
+	}
+	s.mu.RUnlock()
+	if closed {
+		return out, ErrServerClosed
+	}
+	if !m.admit(rows, s.cfg.QueueCap) {
+		s.senders.Done()
+		m.stats.reject(rows)
+		return out, fmt.Errorf("%w: model %q at capacity %d rows", ErrQueueFull, m.name, s.cfg.QueueCap)
+	}
+	// A send blocks only while a request with more ranges than the
+	// queue holds streams in; the workers keep draining until Close has
+	// seen every sender finish.
+	for lo := 0; lo < rows; lo += s.cfg.MaxBatch {
+		m.queue <- rowRange{req, lo, min(lo+s.cfg.MaxBatch, rows)}
+	}
+	s.senders.Done()
+	req.left.Wait()
+	if sp != nil {
+		sp.queue, sp.forward = req.queued, req.forward
+	}
+	return out, req.err
 }
 
 // Metrics returns the server's telemetry registry — the one the
@@ -308,7 +315,7 @@ func (s *Server) Uptime() time.Duration { return time.Since(s.start) }
 // CheckReload re-checksums every model file now, arming replica swaps
 // for any that changed. It returns the first validation failure (a
 // missing file, an unloadable model, or a dimension change, which would
-// break the replicas' bound arrays); failed models keep serving their
+// break the clients' row widths); failed models keep serving their
 // current weights.
 func (s *Server) CheckReload() error {
 	var first error
@@ -353,7 +360,7 @@ func (s *Server) pollReload() {
 		select {
 		case <-t.C:
 			s.CheckReload() // per-model errors are counted in stats
-		case <-s.stopPoll:
+		case <-s.stop:
 			return
 		}
 	}
@@ -370,17 +377,13 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	for _, m := range s.models {
-		close(m.queue)
-	}
 	s.mu.Unlock()
-	close(s.stopPoll)
+	s.senders.Wait()
+	close(s.stop)
 	s.wg.Wait()
 	<-s.pollDone
 	for _, m := range s.models {
-		for _, rep := range m.replicas {
-			rep.region.Close()
-		}
+		m.closeReplicas()
 	}
 	if s.ingest != nil {
 		return s.ingest.close()

@@ -21,24 +21,24 @@ const latWindow = 4096
 // the /metrics exposition, so the JSON snapshot and a Prometheus
 // scrape read the same source of truth. Under mu live only the things
 // a lock genuinely serializes: the exact batch-size array, the latency
-// ring, and the replicas' latest Region.Stats copies.
+// ring, and the replicas' latest hpacml.Stats copies.
 type modelStats struct {
 	tm modelMetrics
 
 	mu    sync.Mutex
 	start time.Time
 
-	// hist[n] counts batches that served exactly n invocations
+	// hist[n] counts batches that served exactly n rows
 	// (1 <= n <= MaxBatch) — the exact per-size map /v1/stats reports
 	// (the telemetry histogram buckets the same sizes for scrapers).
 	hist []uint64
 
-	// lat is a ring of the last latWindow request latencies in seconds.
+	// lat is a ring of the last latWindow row latencies in seconds.
 	lat   []float64
 	latAt int
 
-	// replicaRegion holds each replica's latest Region.Stats() copy, so
-	// the aggregate bridges/inference phase split stays readable while
+	// replicaRegion holds each replica's latest hpacml.Stats copy, so
+	// the aggregate staging/inference phase split stays readable while
 	// the replicas keep running.
 	replicaRegion []hpacml.Stats
 }
@@ -53,55 +53,45 @@ func newModelStats(maxBatch, workers int, tm modelMetrics) *modelStats {
 	}
 }
 
-// observe records one served batch: its size, outcome, the forward
-// (ExecuteBatch) duration, each request's queue wait and
-// queue-to-completion latency, and the owning replica's region
-// counters. cut is when the batch was cut (forward started), end when
-// the forward call returned.
-func (st *modelStats) observe(replicaIdx int, region hpacml.Stats, batch []*request, cut, end time.Time, err error) {
-	n := len(batch)
+// observe records one served batch of n rows: its size, outcome, the
+// forward duration, each row's queue wait and queue-to-completion
+// latency, and the owning replica's stats. cut is when the batch was
+// cut (forward started), end when the engine call returned. Every count
+// is in rows: a row of an R-row request counts as one served
+// invocation.
+func (st *modelStats) observe(replicaIdx int, region hpacml.Stats, batch []rowRange, n int, cut, end time.Time, err error) {
 	st.tm.batches.Inc()
 	st.tm.batchSize.Observe(float64(n))
 	st.tm.forward.Observe(end.Sub(cut).Seconds())
-	if err != nil {
-		st.tm.errors.Add(uint64(n))
-	} else {
-		st.tm.ok.Add(uint64(n))
-		for _, req := range batch {
-			st.tm.queueWait.Observe(cut.Sub(req.enq).Seconds())
-			st.tm.latency.Observe(end.Sub(req.enq).Seconds())
-		}
-	}
-
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	h := n
-	if h >= len(st.hist) {
-		h = len(st.hist) - 1
-	}
-	st.hist[h]++
-	if replicaIdx < len(st.replicaRegion) {
-		st.replicaRegion[replicaIdx] = region
-	}
+	st.hist[min(n, len(st.hist)-1)]++
+	st.replicaRegion[replicaIdx] = region
 	if err != nil {
+		st.tm.errors.Add(uint64(n))
 		return
 	}
-	for _, req := range batch {
-		sec := end.Sub(req.enq).Seconds()
-		if len(st.lat) < cap(st.lat) {
-			st.lat = append(st.lat, sec)
-		} else {
-			st.lat[st.latAt] = sec
-			st.latAt = (st.latAt + 1) % cap(st.lat)
+	st.tm.ok.Add(uint64(n))
+	for _, r := range batch {
+		wait, lat := cut.Sub(r.req.enq).Seconds(), end.Sub(r.req.enq).Seconds()
+		for k := r.rows(); k > 0; k-- {
+			st.tm.queueWait.Observe(wait)
+			st.tm.latency.Observe(lat)
+			if len(st.lat) < cap(st.lat) {
+				st.lat = append(st.lat, lat)
+			} else {
+				st.lat[st.latAt] = lat
+				st.latAt = (st.latAt + 1) % cap(st.lat)
+			}
 		}
 	}
 }
 
-func (st *modelStats) reject()       { st.tm.rejected.Inc() }
-func (st *modelStats) reloaded()     { st.tm.reloadOK.Inc() }
-func (st *modelStats) reloadFailed() { st.tm.reloadErr.Inc() }
+func (st *modelStats) reject(rows int) { st.tm.rejected.Add(uint64(rows)) }
+func (st *modelStats) reloaded()       { st.tm.reloadOK.Inc() }
+func (st *modelStats) reloadFailed()   { st.tm.reloadErr.Inc() }
 
-// regionSum returns the replica pool's summed Region accounting — the
+// regionSum returns the replica pool's summed hpacml.Stats — the
 // source the JSON snapshot and the /metrics region bridge both read.
 func (st *modelStats) regionSum() hpacml.Stats {
 	st.mu.Lock()
@@ -115,11 +105,11 @@ func (st *modelStats) regionSum() hpacml.Stats {
 
 // ModelSnapshot is one model's serving stats (the /v1/stats payload):
 // traffic totals, throughput, the batch-size histogram, latency
-// quantiles, and the summed Region phase counters of the replica pool.
+// quantiles, and the summed phase counters of the replica pool.
 // The shape is defined in the shared wire schema.
 type ModelSnapshot = serveapi.ModelSnapshot
 
-// wireRegionStats converts the runtime's Region accounting to its wire
+// wireRegionStats converts the runtime's hpacml.Stats accounting to its wire
 // form. The wire struct mirrors hpacml.Stats field-for-field, so this
 // is a plain copy that the compiler checks stays exhaustive.
 func wireRegionStats(s hpacml.Stats) serveapi.RegionStats {
@@ -174,10 +164,6 @@ func (st *modelStats) snapshot(info ModelInfo) ModelSnapshot {
 		}
 	}
 	latCopy := append(make([]float64, 0, len(st.lat)), st.lat...)
-	var sum hpacml.Stats
-	for _, rs := range st.replicaRegion {
-		sum.Accumulate(rs)
-	}
 	st.mu.Unlock()
 
 	if up := time.Since(start).Seconds(); up > 0 {
@@ -190,7 +176,7 @@ func (st *modelStats) snapshot(info ModelInfo) ModelSnapshot {
 	snap.LatencyP50Ms = quantileSortedMs(latCopy, 0.50)
 	snap.LatencyP95Ms = quantileSortedMs(latCopy, 0.95)
 	snap.LatencyP99Ms = quantileSortedMs(latCopy, 0.99)
-	snap.Region = wireRegionStats(sum)
+	snap.Region = wireRegionStats(st.regionSum())
 	return snap
 }
 

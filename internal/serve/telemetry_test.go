@@ -157,24 +157,27 @@ func TestRejectedCountsInMetrics(t *testing.T) {
 	hpacml.ClearModelCache()
 	dir := t.TempDir()
 	path := saveMLP(t, dir, "m.gmod", 23, 3, 8, 1)
+	entered := make(chan struct{}, 2)
 	stall := make(chan struct{})
 	cfg := Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 1, Workers: 1,
-		batchHook: func(string, int) { <-stall }}
+		batchHook: func(string, int) { entered <- struct{}{}; <-stall }}
 	s, err := NewServer(cfg, ModelSpec{Name: "m", Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Fill the worker (blocked in the hook) and the 1-slot queue, then
-	// overflow it.
+	// Fill the worker (blocked in the hook) and the 1-row queue, then
+	// overflow it. A row counts as queued until a worker takes it, so
+	// the second request goes in only once the first is taken.
 	errc := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := s.Infer("m", []float64{1, 2, 3})
-			errc <- err
-		}()
+	infer := func() {
+		_, err := s.Infer("m", []float64{1, 2, 3})
+		errc <- err
 	}
+	go infer()
+	<-entered
+	go infer()
 	var rejected int
 	deadline := time.After(5 * time.Second)
 	for metricValue(t, string(s.Metrics().AppendPrometheus(nil)), `hpacml_queue_depth{model="m"}`) < 1 {

@@ -226,28 +226,10 @@ func (r *Region) ExecuteBatchRouted(ctx context.Context, n int, stage func(i int
 		return fmt.Errorf("hpacml: batched inference in region %q: %w", r.name, err)
 	}
 
-	bs := r.batches[n]
-	if bs == nil {
-		shape, err := r.modelInputShape()
-		if err != nil {
-			return err
-		}
-		if bs, err = r.buildBatchStaging(n, shape); err != nil {
-			return err
-		}
-		if r.batches == nil {
-			r.batches = make(map[int]*batchState)
-		}
-		if len(r.batches) >= maxBatchStates {
-			for k := range r.batches {
-				delete(r.batches, k)
-				break
-			}
-		}
-		r.batches[n] = bs
+	bs, err := r.batchStaging(n)
+	if err != nil {
+		return err
 	}
-
-	var err error
 	for i := 0; i < n; i++ {
 		if stage != nil {
 			if err := stage(i); err != nil {
